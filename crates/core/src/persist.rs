@@ -461,6 +461,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_files_are_corrupt_not_a_crash() {
+        let dir = temp_dir("nested");
+        drop(PersistentStore::open(&dir).unwrap());
+        std::fs::write(dir.join(file_name_for("nested")), "[".repeat(500_000)).unwrap();
+        let store = PersistentStore::open(&dir).unwrap();
+        assert_eq!(store.stats().skipped_corrupt, 1);
+        assert_eq!(store.stats().loaded, 0);
+        let err = decode_entry(&"{\"a\":".repeat(500_000)).map(|_| ()).unwrap_err();
+        assert!(err.reason().contains("nesting"), "got: {}", err.reason());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn alphabet_mismatch_is_refused_and_counted() {
         let dir = temp_dir("alpha");
         let (_, dfa) = sample_dfa();

@@ -82,27 +82,6 @@ impl Value {
         out
     }
 
-    /// Stream the compact rendering straight into an `io::Write` (a
-    /// socket, a file) without building an intermediate `String`.
-    pub fn to_writer<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut adapter = IoFmt { inner: w, error: None };
-        match self.write(&mut adapter, None, 0) {
-            Ok(()) => Ok(()),
-            // fmt::Error carries no detail; recover the io error we stashed.
-            Err(_) => Err(adapter
-                .error
-                .unwrap_or_else(|| std::io::Error::other("formatter error while writing JSON"))),
-        }
-    }
-
-    /// Stream the compact rendering plus a trailing `\n` — one record of
-    /// a JSON-lines stream (the wire format of `pospec-serve` and the
-    /// trace files).
-    pub fn write_line<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        self.to_writer(w)?;
-        w.write_all(b"\n")
-    }
-
     fn write<W: fmt::Write>(
         &self,
         out: &mut W,
@@ -129,22 +108,6 @@ impl Value {
                 })
             }
         }
-    }
-}
-
-/// Adapts `io::Write` to `fmt::Write`, stashing the first io error
-/// (`fmt::Error` itself is unit-like).
-struct IoFmt<'a, W: std::io::Write> {
-    inner: &'a mut W,
-    error: Option<std::io::Error>,
-}
-
-impl<W: std::io::Write> fmt::Write for IoFmt<'_, W> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.inner.write_all(s.as_bytes()).map_err(|e| {
-            self.error = Some(e);
-            fmt::Error
-        })
     }
 }
 
@@ -205,21 +168,32 @@ fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     }
 }
 
+/// Write `s` quoted, copying each run of characters that need no escape
+/// in one `write_str`.  Every escaped character is ASCII, so scanning
+/// bytes keeps each run on character boundaries.
 fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            '\u{08}' => out.write_str("\\b")?,
-            '\u{0C}' => out.write_str("\\f")?,
-            c if (c as u32) < 0x20 => out.write_fmt(format_args!("\\u{:04x}", c as u32))?,
-            c => out.write_char(c)?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0C => Some("\\f"),
+            b if b < 0x20 => None,
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match escape {
+            Some(e) => out.write_str(e)?,
+            None => out.write_fmt(format_args!("\\u{b:04x}"))?,
         }
+        run = i + 1;
     }
+    out.write_str(&s[run..])?;
     out.write_char('"')
 }
 
@@ -238,9 +212,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse a complete JSON document (trailing whitespace allowed).
+/// Deepest array/object nesting [`parse`] accepts.  Far above anything
+/// the workspace writes, and shallow enough that the recursive descent
+/// stays well inside a 2 MiB thread stack whatever the input.
+const MAX_DEPTH: usize = 256;
+
+/// Parse a complete JSON document (trailing whitespace allowed, nesting
+/// at most 256 levels deep).
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -251,8 +231,11 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -294,8 +277,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -352,17 +342,24 @@ impl Parser<'_> {
         }
     }
 
+    /// One pass per string: each run up to the next `"` or `\` is copied
+    /// in a single `push_str`.  Both delimiters are ASCII, so every run
+    /// starts and ends on a character boundary of the `&str` input.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            s.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
@@ -375,42 +372,44 @@ impl Parser<'_> {
                         b'n' => s.push('\n'),
                         b'r' => s.push('\r'),
                         b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by this
-                            // workspace's identifiers; map them to U+FFFD.
-                            s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
+                        b'u' => s.push(self.unicode_escape()?),
                         _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest).ok().and_then(|t| t.chars().next()).or_else(
-                        || {
-                            std::str::from_utf8(&rest[..rest.len().min(4)])
-                                .ok()
-                                .and_then(|t| t.chars().next())
-                        },
-                    );
-                    match ch {
-                        Some(c) => {
-                            s.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err(self.err("invalid UTF-8 in string")),
                     }
                 }
             }
         }
+    }
+
+    /// The character of a `\uXXXX` escape whose `\u` is consumed.  A
+    /// high surrogate directly followed by an escaped low surrogate
+    /// decodes as the pair; any other surrogate is U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let unit = self.hex4()?;
+        if (0xD800..0xDC00).contains(&unit) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let after_high = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(code).expect("a surrogate pair is a scalar value"));
+            }
+            // Not a pair: the next escape stands on its own.
+            self.pos = after_high;
+        }
+        Ok(char::from_u32(unit).unwrap_or('\u{FFFD}'))
+    }
+
+    /// Four hex digits (and nothing else: no sign, no short form).
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits =
+            self.bytes.get(self.pos..self.pos + 4).ok_or_else(|| self.err("bad \\u escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let v = char::from(d).to_digit(16).ok_or_else(|| self.err("bad \\u escape"))?;
+            code = code * 16 + v;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value, JsonError> {
@@ -436,8 +435,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(Value::Num).map_err(|_| self.err("invalid number"))
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map(Value::Num)
+            .map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -580,6 +581,66 @@ mod tests {
     #[test]
     fn unicode_escapes_parse() {
         assert_eq!(parse(r#""A\t""#).unwrap(), Value::Str("A\t".into()));
+        assert_eq!(parse(r#""\u0041\u00e9\u2016""#).unwrap(), Value::Str("Aé‖".into()));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        assert_eq!(parse(r#""\ud83e\udd80""#).unwrap(), Value::Str("🦀".into()));
+        assert_eq!(parse(r#""a\ud83e\udd80b""#).unwrap(), Value::Str("a🦀b".into()));
+    }
+
+    #[test]
+    fn lone_surrogates_become_replacement_characters() {
+        let fffd = |s: &str| Value::Str(s.replace('?', "\u{FFFD}"));
+        assert_eq!(parse(r#""\ud83e""#).unwrap(), fffd("?"));
+        assert_eq!(parse(r#""\udd80\ud83e""#).unwrap(), fffd("??"));
+        assert_eq!(parse(r#""\ud83ex""#).unwrap(), fffd("?x"));
+        // A high surrogate before a non-low escape: both stand alone,
+        // and the second still pairs with what follows it.
+        assert_eq!(parse(r#""\ud83e\u0041""#).unwrap(), fffd("?A"));
+        assert_eq!(parse(r#""\ud83e\ud83e\udd80""#).unwrap(), fffd("?🦀"));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04g1""#, r#""\u041""#] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
+        assert!(parse(r#""\ud83e\u+d80""#).is_err());
+    }
+
+    #[test]
+    fn control_characters_escape_byte_identically() {
+        let s: String = (0u8..0x20).map(char::from).chain("\"\\/é\u{7f}".chars()).collect();
+        let expected = concat!(
+            r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r"#,
+            r#"\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018"#,
+            r#"\u0019\u001a\u001b\u001c\u001d\u001e\u001f\"\\/é"#,
+            "\u{7f}\"",
+        );
+        assert_eq!(Value::Str(s.clone()).to_compact(), expected);
+        assert_eq!(parse(expected).unwrap(), Value::Str(s));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let verdicts = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deep = |open: &str| open.repeat(1_000_000);
+                let err = parse(&deep("[")).unwrap_err();
+                assert!(err.message.contains("nesting"), "{err}");
+                assert_eq!(err.pos, MAX_DEPTH);
+                assert!(parse(&deep("{\"a\":")).is_err());
+                let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+                assert!(parse(&at_cap).is_ok());
+                let past = format!("[{at_cap}]");
+                assert!(parse(&past).is_err());
+            })
+            .unwrap()
+            .join();
+        assert!(verdicts.is_ok());
     }
 
     /// write ∘ parse must be the identity on written output: the service
@@ -621,34 +682,5 @@ mod tests {
         assert_eq!(Value::Num(f64::INFINITY).to_compact(), "null");
         // Negative zero normalises to plain 0.
         assert_eq!(Value::Num(-0.0).to_compact(), "0");
-    }
-
-    #[test]
-    fn to_writer_matches_to_compact_and_write_line_appends_newline() {
-        let v = ObjBuilder::new()
-            .field("name", "Γ‖∆")
-            .field("xs", Value::Arr(vec![Value::Num(1.5), Value::Null]))
-            .build();
-        let mut buf = Vec::new();
-        v.to_writer(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), v.to_compact());
-        let mut line = Vec::new();
-        v.write_line(&mut line).unwrap();
-        assert_eq!(String::from_utf8(line).unwrap(), v.to_compact() + "\n");
-    }
-
-    #[test]
-    fn to_writer_surfaces_io_errors() {
-        struct Broken;
-        impl std::io::Write for Broken {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk on fire"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let err = Value::Bool(true).to_writer(&mut Broken).unwrap_err();
-        assert!(err.to_string().contains("disk on fire"));
     }
 }

@@ -1,7 +1,7 @@
 //! JSON-RPC 2.0 framing: `Content-Length: N\r\n\r\n<body>` messages
 //! over any `BufRead`/`Write` pair, plus response constructors.
 
-use pospec_json::{ObjBuilder, Value};
+use pospec_json::{JsonError, ObjBuilder, Value};
 use std::io::{self, BufRead, Write};
 
 /// Standard JSON-RPC / LSP error codes.
@@ -55,11 +55,21 @@ pub fn read_message(reader: &mut impl BufRead) -> io::Result<Option<Value>> {
     })?;
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body)?;
-    let text = String::from_utf8(body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("non-UTF-8 body: {e}")))?;
-    let value = pospec_json::parse(&text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad JSON body: {e}")))?;
+    let text = String::from_utf8(body).map_err(|e| {
+        let pos = e.utf8_error().valid_up_to();
+        JsonError { pos, message: "body is not UTF-8".to_string() }
+    });
+    let value = text
+        .and_then(|text| pospec_json::parse(&text))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     Ok(Some(value))
+}
+
+/// Is `e`, from [`read_message`], a whole frame whose body is not JSON?
+/// The stream is still in step after one, so the server answers it with
+/// [`code::PARSE_ERROR`] and reads on.
+pub fn is_parse_error(e: &io::Error) -> bool {
+    e.get_ref().is_some_and(|inner| inner.is::<JsonError>())
 }
 
 /// Write one framed message.
@@ -137,7 +147,22 @@ mod tests {
     #[test]
     fn torn_frame_is_an_error() {
         let mut cursor = Cursor::new(b"Content-Length: 10\r\n\r\n{}".to_vec());
-        assert!(read_message(&mut cursor).is_err());
+        let err = read_message(&mut cursor).unwrap_err();
+        assert!(!is_parse_error(&err), "a torn frame desyncs the stream");
+    }
+
+    #[test]
+    fn bad_bodies_are_parse_errors_and_the_next_frame_still_reads() {
+        let mut bytes = frame("{\"a\":");
+        bytes.extend(frame(&"[".repeat(500_000)));
+        bytes.extend(b"Content-Length: 2\r\n\r\n\xff}");
+        bytes.extend(frame("{\"a\":1}"));
+        let mut cursor = Cursor::new(bytes);
+        for _ in 0..3 {
+            assert!(is_parse_error(&read_message(&mut cursor).unwrap_err()));
+        }
+        let next = read_message(&mut cursor).unwrap().unwrap();
+        assert_eq!(next.get("a").and_then(Value::as_u64), Some(1));
     }
 
     #[test]

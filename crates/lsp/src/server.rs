@@ -70,6 +70,13 @@ impl LspServer {
                     }
                 }
                 Ok(None) => return i32::from(!self.shutdown),
+                Err(e) if rpc::is_parse_error(&e) => {
+                    let reply =
+                        rpc::error_response(&Value::Null, code::PARSE_ERROR, &e.to_string());
+                    if rpc::write_message(writer, &reply).is_err() {
+                        return 1;
+                    }
+                }
                 Err(_) => return 1,
             }
         }

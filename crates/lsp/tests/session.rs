@@ -381,6 +381,35 @@ fn lifecycle_gates_are_enforced() {
 }
 
 #[test]
+fn unparsable_bodies_get_parse_errors_and_the_session_goes_on() {
+    // A 500 KB body of `[` is under any sane frame size and used to
+    // overflow the parser's stack; now it is one PARSE_ERROR reply.
+    let frame = |body: &str| format!("Content-Length: {}\r\n\r\n{body}", body.len());
+    let mut input = String::new();
+    input += &frame(&request(1, "initialize", Value::Obj(Vec::new())).to_compact());
+    input += &frame(&"[".repeat(500_000));
+    input += &frame("{\"jsonrpc\":\"2.0\",\"id\":2,");
+    input += &frame(&request(3, "shutdown", Value::Null).to_compact());
+    input += &frame(&notification("exit", Value::Null).to_compact());
+    let mut output = Vec::new();
+    let code = LspServer::new(DEPTH).run(&mut Cursor::new(input.into_bytes()), &mut output);
+    assert_eq!(code, 0, "the session ends normally");
+    let mut cursor = Cursor::new(output);
+    let mut out = Vec::new();
+    while let Some(m) = read_message(&mut cursor).expect("well-framed output") {
+        out.push(m);
+    }
+    let parse_errors: Vec<&Value> =
+        out.iter().filter(|m| m.get("id") == Some(&Value::Null)).collect();
+    assert_eq!(parse_errors.len(), 2, "{out:?}");
+    for e in parse_errors {
+        let error = e.get("error").expect("error");
+        assert_eq!(error.get("code").and_then(Value::as_f64), Some(-32700.0));
+    }
+    assert_eq!(response_to(&out, 3).get("result"), Some(&Value::Null));
+}
+
+#[test]
 fn did_close_clears_diagnostics() {
     let bad = p020_doc();
     let close = notification(

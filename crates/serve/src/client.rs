@@ -5,10 +5,11 @@
 //! writes a request line and blocks for the matching response line
 //! (the protocol answers in order per connection).
 
+use crate::protocol::write_line;
 use crate::retry::{request_idempotent, RetryPolicy};
 use pospec_json::Value;
 use std::cell::Cell;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -86,9 +87,7 @@ impl Client {
 
     /// Send one request object and wait for its response object.
     pub fn call(&mut self, request: &Value) -> Result<Value, ClientError> {
-        request.to_writer(&mut self.writer)?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, request)?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(ClientError::Disconnected);

@@ -18,6 +18,7 @@
 //! `deadline` (expired in queue), `shutting_down`, and `internal`.
 
 use pospec_json::{ObjBuilder, Value};
+use std::io::Write;
 
 /// Default predicate-trie depth for `check`/`batch_check`, matching the
 /// CLI's `--depth` default.
@@ -154,6 +155,15 @@ fn depth_field(v: &Value) -> Result<usize, ProtoError> {
             .map(|n| n as usize)
             .ok_or_else(|| ProtoError::bad("field `depth` must be a non-negative integer")),
     }
+}
+
+/// Send `v` as one line in a single `write_all`.  Both ends set
+/// `TCP_NODELAY` on unbuffered sockets, so every separate write would
+/// go out as its own segment.
+pub(crate) fn write_line(w: &mut impl Write, v: &Value) -> std::io::Result<()> {
+    let mut line = v.to_compact();
+    line.push('\n');
+    w.write_all(line.as_bytes())
 }
 
 /// Decode one request line.

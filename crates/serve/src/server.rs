@@ -17,7 +17,7 @@
 
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::pool::{SubmitError, WorkerPool};
-use crate::protocol::{error_response, ok_response, parse_request, Envelope, Request};
+use crate::protocol::{error_response, ok_response, parse_request, write_line, Envelope, Request};
 use crate::registry::SpecRegistry;
 use pospec_alphabet::display_trace;
 use pospec_core::refine::FailedCondition;
@@ -26,7 +26,7 @@ use pospec_core::{
     PersistentStore, Specification, Verdict,
 };
 use pospec_json::{ObjBuilder, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -355,12 +355,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             break;
         }
     }
-}
-
-fn write_line(w: &mut TcpStream, v: &Value) -> std::io::Result<()> {
-    v.to_writer(w)?;
-    w.write_all(b"\n")?;
-    w.flush()
 }
 
 /// Decode and dispatch one request line, producing the response value.

@@ -392,6 +392,32 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_lines_get_structured_errors_and_the_connection_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let fixture = start(1, 4, false);
+    // 500 KB of `[` is under the 1 MiB line cap and used to overflow
+    // the connection thread's stack, taking the whole server down.
+    let mut raw = std::net::TcpStream::connect(&fixture.addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let mut line = vec![b'['; 500_000];
+    line.push(b'\n');
+    raw.write_all(&line).expect("write nested line");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("error line");
+    let error = pospec_json::parse(response.trim()).expect("json error");
+    assert_eq!(error_kind(&error), Some("bad_request"), "response: {error:?}");
+
+    // The same connection, and the server, keep serving.
+    raw.write_all(b"{\"op\":\"ping\"}\n").expect("write ping");
+    response.clear();
+    reader.read_line(&mut response).expect("ping line");
+    assert!(response_ok(&pospec_json::parse(response.trim()).expect("json ping")));
+    assert!(response_ok(&fixture.client().call(&op("ping").build()).expect("ping")));
+    fixture.stop();
+}
+
+#[test]
 fn silent_connections_are_reaped_after_the_idle_timeout() {
     use std::io::Read;
     let fixture = start_with(ServerConfig {
