@@ -6,9 +6,20 @@
 //! building the automaton view of a trace set ([`traceset_dfa`]), and
 //! lifting that view to a larger alphabet (`lift_to`).  The meta-theory
 //! suite and `paper_report` issue hundreds of near-identical queries, so
-//! [`DfaCache`] interns all three — extending the per-instance `OnceLock`
-//! memoization of [`ComposedSet`](crate::ComposedSet) to a query-keyed
-//! map shared by every check.
+//! [`DfaCache`] interns all three in a query-keyed map shared by every
+//! check that is handed the cache.
+//!
+//! **One cache per caller.**  A cache is an explicit value owned by the
+//! surface that runs the checks: the server and the LSP keep one for
+//! their lifetime, a lint or a development audit makes one per run, the
+//! benchmarks one per phase.  Everything a check builds lands in the
+//! cache it was given — including the operand lifts of a composition
+//! ([`DfaCache::traceset_dfa`] builds a [`TraceSet::Composed`] view from
+//! its own [`DfaCache::lifted_dfa`]) — so the owner's [`CacheStats`] and
+//! [`DfaCache::clear`] cover every automaton it holds, and dropping the
+//! cache frees them.  Nothing on a checking path consults a
+//! process-global cache; paths without a cache (membership,
+//! [`traceset_dfa`]) build uncached.
 //!
 //! Keys are **structural wherever the backend permits**:
 //!
@@ -47,7 +58,7 @@ use crate::refine::{
     condition3_verdict_lazy, refinement_conditions, FailedCondition, OtfOutcome, Verdict,
 };
 use crate::spec::Specification;
-use crate::traceset::{traceset_dfa, TraceSet};
+use crate::traceset::{traceset_dfa, TraceSet, DEFAULT_PREDICATE_DEPTH};
 use pospec_alphabet::{EventGranule, EventSet, Universe};
 use pospec_regex::{ConcreteDfa, Re};
 use std::collections::hash_map::Entry as MapEntry;
@@ -245,7 +256,10 @@ impl DfaCache {
         DfaCache::default()
     }
 
-    /// The process-wide shared cache.
+    /// A process-wide cache.  No checking path uses it — every caller
+    /// passes its own cache (see the module documentation).  It remains
+    /// only because the out-of-workspace benchmark (`perfbench/`) still
+    /// calls `.clear()` on it between passes.
     pub fn global() -> &'static DfaCache {
         static GLOBAL: OnceLock<DfaCache> = OnceLock::new();
         GLOBAL.get_or_init(DfaCache::new)
@@ -476,6 +490,30 @@ impl DfaCache {
         self.otf_explored.fetch_add(otf.explored, Ordering::Relaxed);
     }
 
+    /// Build (and minimize) the automaton view of `ts` over `sigma`.  A
+    /// composition takes its operand lifts from this cache, at
+    /// [`DEFAULT_PREDICATE_DEPTH`] like [`crate::ComposedSet::dfa`], so a
+    /// specification taking part in several compositions is finitized
+    /// and lifted once per cache; every other backend is built by the
+    /// free [`traceset_dfa`].
+    fn build_view(
+        &self,
+        u: &Arc<Universe>,
+        ts: &TraceSet,
+        sigma: Arc<Vec<Event>>,
+        pred_depth: usize,
+    ) -> Arc<ConcreteDfa> {
+        let TraceSet::Composed(c) = ts else {
+            return self.timed_build(|| traceset_dfa(u, ts, sigma, pred_depth));
+        };
+        let joint = c.joint_alphabet();
+        let lift = |s: &Specification| {
+            self.lifted_dfa(u, s.trace_set(), s.alphabet(), &joint, DEFAULT_PREDICATE_DEPTH)
+        };
+        let (left, right) = (lift(&c.left), lift(&c.right));
+        self.timed_build(|| c.product(&left, &right).restrict_to(sigma))
+    }
+
     /// The automaton view of `ts` over the finitization of `alpha`,
     /// interned and minimized.  Language-equal to [`traceset_dfa`] on a
     /// miss.
@@ -489,31 +527,43 @@ impl DfaCache {
         let key = (self.ts_key(ts), self.alpha_id(alpha), pred_depth);
         let (slot, inserted) = self.claim(&self.dfas, key, ts);
         let sigma = self.alphabet(alpha);
+        let disk_key = || self.persist_key("dfa", u, ts, alpha, None, pred_depth);
+        let build = || self.build_view(u, ts, sigma.clone(), pred_depth);
         if !inserted {
             self.dfa_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(
-                slot.get_or_init(|| self.timed_build(|| traceset_dfa(u, ts, sigma, pred_depth))),
-            );
+            return self.fill(&slot, disk_key, build);
         }
         // First in-memory sight of this key: try the persistent store
-        // before paying for a build, and write through afterwards.
-        let disk_key = self.persist_key("dfa", u, ts, alpha, None, pred_depth);
-        if let (Some(store), Some(dk)) = (self.store.get(), &disk_key) {
-            if let Some(dfa) = store.get(dk, &sigma) {
+        // before paying for a build.
+        if let (Some(store), Some(dk)) = (self.store.get(), disk_key()) {
+            if let Some(dfa) = store.get(&dk, &sigma) {
                 self.dfa_hits.fetch_add(1, Ordering::Relaxed);
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(slot.get_or_init(|| dfa));
             }
         }
         self.dfa_misses.fetch_add(1, Ordering::Relaxed);
+        self.fill(&slot, disk_key, build)
+    }
+
+    /// Fill `slot`, building at most once across racing callers, and
+    /// write the build through to the persistent store.  Whichever caller
+    /// ends up building writes it, so a racer that wins the `OnceLock`
+    /// cannot leave a content-keyed entry unpersisted.
+    fn fill(
+        &self,
+        slot: &DfaSlot,
+        disk_key: impl FnOnce() -> Option<String>,
+        build: impl FnOnce() -> Arc<ConcreteDfa>,
+    ) -> Arc<ConcreteDfa> {
         let mut built = false;
         let out = Arc::clone(slot.get_or_init(|| {
             built = true;
-            self.timed_build(|| traceset_dfa(u, ts, sigma, pred_depth))
+            build()
         }));
         if built {
-            if let (Some(store), Some(dk)) = (self.store.get(), &disk_key) {
-                store.put(dk, &out);
+            if let (Some(store), Some(dk)) = (self.store.get(), disk_key()) {
+                store.put(&dk, &out);
             }
         }
         out
@@ -533,36 +583,27 @@ impl DfaCache {
     ) -> Arc<ConcreteDfa> {
         let key = (self.ts_key(ts), self.alpha_id(alpha), self.alpha_id(big), pred_depth);
         let (slot, inserted) = self.claim(&self.lifted, key, ts);
+        let sigma_big = self.alphabet(big);
+        let disk_key = || self.persist_key("lift", u, ts, alpha, Some(big), pred_depth);
+        let build = || {
+            let base = self.traceset_dfa(u, ts, alpha, pred_depth);
+            self.timed_build(|| base.lift_to(sigma_big.clone()))
+        };
         if !inserted {
             self.lift_hits.fetch_add(1, Ordering::Relaxed);
-            let base = self.traceset_dfa(u, ts, alpha, pred_depth);
-            let sigma_big = self.alphabet(big);
-            return Arc::clone(slot.get_or_init(|| self.timed_build(|| base.lift_to(sigma_big))));
+            return self.fill(&slot, disk_key, build);
         }
-        let sigma_big = self.alphabet(big);
         // A disk hit serves the finished lift without even building the
         // base automaton.
-        let disk_key = self.persist_key("lift", u, ts, alpha, Some(big), pred_depth);
-        if let (Some(store), Some(dk)) = (self.store.get(), &disk_key) {
-            if let Some(dfa) = store.get(dk, &sigma_big) {
+        if let (Some(store), Some(dk)) = (self.store.get(), disk_key()) {
+            if let Some(dfa) = store.get(&dk, &sigma_big) {
                 self.lift_hits.fetch_add(1, Ordering::Relaxed);
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(slot.get_or_init(|| dfa));
             }
         }
         self.lift_misses.fetch_add(1, Ordering::Relaxed);
-        let base = self.traceset_dfa(u, ts, alpha, pred_depth);
-        let mut built = false;
-        let out = Arc::clone(slot.get_or_init(|| {
-            built = true;
-            self.timed_build(|| base.lift_to(sigma_big))
-        }));
-        if built {
-            if let (Some(store), Some(dk)) = (self.store.get(), &disk_key) {
-                store.put(dk, &out);
-            }
-        }
-        out
+        self.fill(&slot, disk_key, build)
     }
 
     /// Current counter values.

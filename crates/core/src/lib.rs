@@ -28,7 +28,6 @@
 //!   (module [`component`]).
 
 pub mod assume_guarantee;
-pub mod async_model;
 pub mod cache;
 pub mod component;
 pub mod compose;
@@ -40,7 +39,6 @@ pub mod spec;
 pub mod traceset;
 
 pub use assume_guarantee::{ag_specification, assume_guarantee, direction_of, Direction};
-pub use async_model::{split_method, AsyncSplitError};
 pub use cache::{
     check_all_pairs, check_refinement_batch, check_refinement_cached, CacheStats, DfaCache,
 };

@@ -16,6 +16,7 @@
 //! for regular backends and exact-up-to-depth when an opaque predicate is
 //! involved.  On failure a shortest counterexample trace is produced.
 
+use crate::cache::{check_refinement_cached, DfaCache};
 use crate::spec::Specification;
 use crate::traceset::{traceset_dfa, TraceSet, DEFAULT_PREDICATE_DEPTH};
 use pospec_regex::{
@@ -250,7 +251,15 @@ pub(crate) fn condition3_verdict_lazy(
     (Verdict::Holds { exact }, otf)
 }
 
-/// Full refinement check `concrete ⊑ abstract_` (Def. 2).
+/// Full refinement check `concrete ⊑ abstract_` (Def. 2), eager and
+/// uncached: it materializes the lifted abstract automaton and the full
+/// product.
+///
+/// Every surface decides refinement with the cached, on-the-fly
+/// [`check_refinement_cached`]; this function is the reference it is
+/// tested against (`tests/inclusion_equivalence.rs`,
+/// `tests/cache_equivalence.rs`), and `paper_report` and the benchmark
+/// time it as the uncached baseline.
 ///
 /// `pred_depth` bounds the trie unfolding of opaque predicate trace sets;
 /// it is irrelevant for regular backends.
@@ -285,7 +294,7 @@ pub fn check_refinement(
 
 /// Convenience: does `concrete ⊑ abstract_` hold with default settings?
 pub fn refines(concrete: &Specification, abstract_: &Specification) -> bool {
-    check_refinement(concrete, abstract_, DEFAULT_PREDICATE_DEPTH).holds()
+    check_refinement_cached(&DfaCache::new(), concrete, abstract_, DEFAULT_PREDICATE_DEPTH).holds()
 }
 
 /// The **baseline** the paper argues against (§3, §9): traditional
@@ -311,7 +320,7 @@ pub fn check_traditional_refinement(
     }
     // With equal alphabets, condition 3 degenerates to plain inclusion —
     // exactly `T(Γ′) ⊆ T(Γ)`.
-    check_refinement(concrete, abstract_, pred_depth)
+    check_refinement_cached(&DfaCache::new(), concrete, abstract_, pred_depth)
 }
 
 #[cfg(test)]

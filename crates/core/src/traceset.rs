@@ -82,8 +82,9 @@ impl TraceSet {
     ///
     /// For [`TraceSet::Predicate`], the largest-prefix-closed-subset
     /// semantics is enforced: all prefixes must satisfy the predicate.
-    /// For [`TraceSet::Composed`], membership is decided via the cached
-    /// composition automaton (exact over the canonical finitization).
+    /// For [`TraceSet::Composed`], membership is decided via the
+    /// composition automaton (exact over the canonical finitization),
+    /// built once per [`ComposedSet`].
     pub fn contains(&self, u: &pospec_alphabet::Universe, h: &Trace) -> bool {
         match self {
             TraceSet::Universal => true,
@@ -173,34 +174,37 @@ impl ComposedSet {
     /// canonical finitization of the visible alphabet: lift both component
     /// automata to the joint alphabet, intersect, erase the hidden events.
     ///
-    /// Component automata and their lifts come from the process-wide
-    /// [`crate::DfaCache`], so a specification taking part in several
-    /// compositions is finitized and lifted once; the product and the
-    /// erasure (which depend on this instance's hiding set) stay in the
-    /// per-instance `OnceLock`.
+    /// This is the membership path ([`TraceSet::contains`], runners and
+    /// the free [`traceset_dfa`]): the operands are built and lifted
+    /// uncached, minimized exactly as [`crate::DfaCache`] would, and the
+    /// result is kept in this instance's `OnceLock`.  Checks that go
+    /// through a cache get their operand lifts from that cache instead
+    /// ([`crate::DfaCache::traceset_dfa`]).
     pub fn dfa(&self) -> &ConcreteDfa {
         self.dfa.get_or_init(|| {
-            let cache = crate::cache::DfaCache::global();
             let u = self.left.universe();
-            let joint_alpha = self.left.alphabet().union(self.right.alphabet());
-            let a = cache.lifted_dfa(
-                u,
-                self.left.trace_set(),
-                self.left.alphabet(),
-                &joint_alpha,
-                DEFAULT_PREDICATE_DEPTH,
-            );
-            let b = cache.lifted_dfa(
-                u,
-                self.right.trace_set(),
-                self.right.alphabet(),
-                &joint_alpha,
-                DEFAULT_PREDICATE_DEPTH,
-            );
-            let joint = a.intersect(&b);
-            let hidden = self.hidden.clone();
-            joint.erase(move |e| hidden.contains(e))
+            let joint = Arc::new(self.joint_alphabet().enumerate_concrete());
+            let lift = |s: &Specification| {
+                let sigma = Arc::new(s.alphabet().enumerate_concrete());
+                traceset_dfa(u, s.trace_set(), sigma, DEFAULT_PREDICATE_DEPTH)
+                    .minimize()
+                    .lift_to(Arc::clone(&joint))
+                    .minimize()
+            };
+            self.product(&lift(&self.left), &lift(&self.right))
         })
+    }
+
+    /// `α(Γ) ∪ α(∆)`, the alphabet both operands are lifted to.
+    pub(crate) fn joint_alphabet(&self) -> EventSet {
+        self.left.alphabet().union(self.right.alphabet())
+    }
+
+    /// Intersect the two operand automata (already lifted to the joint
+    /// alphabet) and erase the hidden events.
+    pub(crate) fn product(&self, left: &ConcreteDfa, right: &ConcreteDfa) -> ConcreteDfa {
+        let hidden = self.hidden.clone();
+        left.intersect(right).erase(move |e| hidden.contains(e))
     }
 }
 

@@ -201,6 +201,13 @@ pub enum ReAst {
     Group(Box<ReAst>),
 }
 
+/// How deeply a regular expression may nest: every `(`, `[` and postfix
+/// `*`/`+`/`?` on the path from the root to a leaf is one level.  Later
+/// passes over [`ReAst`] (elaboration, automaton compilation, lint,
+/// pretty-printing) recurse once per level, so the cap is what keeps a
+/// hostile document from overflowing their stacks.
+const MAX_REGEX_NESTING: usize = 256;
+
 /// Parse a source text into an [`Ast`].
 pub fn parse(src: &str) -> Result<Ast, LangError> {
     let tokens = lex(src)?;
@@ -483,84 +490,134 @@ impl Parser {
         Ok(TemplateAst { caller, callee, method, arg, span: open.span.through(close.span) })
     }
 
+    /// A regular expression, parsed without recursion: open `(`/`[`
+    /// groups wait on an explicit stack, so no input can exhaust the
+    /// parser's own stack, and nesting is capped at [`MAX_REGEX_NESTING`]
+    /// for the recursive passes downstream.
     fn regex(&mut self) -> Result<ReAst, LangError> {
-        self.alt()
-    }
-
-    fn alt(&mut self) -> Result<ReAst, LangError> {
-        let mut parts = vec![self.seq()?];
-        while self.eat(&Tok::Pipe) {
-            parts.push(self.seq()?);
-        }
-        Ok(if parts.len() == 1 { parts.pop().unwrap() } else { ReAst::Alt(parts) })
-    }
-
-    fn starts_atom(&self) -> bool {
-        matches!(&self.peek().tok, Tok::Lt | Tok::LParen | Tok::LBracket)
-            || matches!(&self.peek().tok, Tok::Ident(s) if s == "eps")
-    }
-
-    fn seq(&mut self) -> Result<ReAst, LangError> {
-        let mut parts = Vec::new();
-        while self.starts_atom() {
-            parts.push(self.postfix()?);
-        }
-        match parts.len() {
-            0 => Ok(ReAst::Eps),
-            1 => Ok(parts.pop().unwrap()),
-            _ => Ok(ReAst::Seq(parts)),
-        }
-    }
-
-    fn postfix(&mut self) -> Result<ReAst, LangError> {
-        let mut re = self.atom()?;
+        let mut open: Vec<Pending> = Vec::new();
+        let mut cur = Pending::default();
         loop {
-            if self.eat(&Tok::Star) {
-                re = ReAst::Star(Box::new(re));
-            } else if self.eat(&Tok::Plus) {
-                re = ReAst::Plus(Box::new(re));
-            } else if self.eat(&Tok::Question) {
-                re = ReAst::Opt(Box::new(re));
-            } else {
-                break;
+            match &self.peek().tok {
+                Tok::Lt => {
+                    let lit = ReAst::Lit(self.template()?);
+                    self.postfix(&mut cur, open.len(), lit, 0)?;
+                }
+                Tok::Ident(s) if s == "eps" => {
+                    self.next();
+                    self.postfix(&mut cur, open.len(), ReAst::Eps, 0)?;
+                }
+                Tok::LParen | Tok::LBracket => {
+                    self.nest(open.len() + 1)?;
+                    let bracket = self.next().tok == Tok::LBracket;
+                    open.push(std::mem::replace(
+                        &mut cur,
+                        Pending { bracket, ..Pending::default() },
+                    ));
+                }
+                Tok::Pipe => {
+                    self.next();
+                    cur.end_alternative();
+                }
+                _ => {
+                    let Some(parent) = open.pop() else { return Ok(cur.finish().0) };
+                    let group = std::mem::replace(&mut cur, parent);
+                    let bracket = group.bracket;
+                    let (body, height) = group.finish();
+                    let node = self.close_group(bracket, body)?;
+                    self.postfix(&mut cur, open.len(), node, height + 1)?;
+                }
             }
         }
+    }
+
+    /// Fail when a node would sit `levels` deep, past [`MAX_REGEX_NESTING`].
+    fn nest(&self, levels: usize) -> Result<(), LangError> {
+        if levels > MAX_REGEX_NESTING {
+            return Err(LangError::new(
+                self.peek().span,
+                format!("regular expression nested more than {MAX_REGEX_NESTING} levels deep"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Apply the postfix operators following `re` (of `height` levels,
+    /// inside `open` groups) and append it to the current sequence.
+    fn postfix(
+        &mut self,
+        cur: &mut Pending,
+        open: usize,
+        mut re: ReAst,
+        mut height: usize,
+    ) -> Result<(), LangError> {
+        loop {
+            let wrap: fn(Box<ReAst>) -> ReAst = match self.peek().tok {
+                Tok::Star => ReAst::Star,
+                Tok::Plus => ReAst::Plus,
+                Tok::Question => ReAst::Opt,
+                _ => break,
+            };
+            height += 1;
+            self.nest(open + height)?;
+            self.next();
+            re = wrap(Box::new(re));
+        }
+        cur.seq.push((re, height));
+        Ok(())
+    }
+
+    /// Close a `( R )`, `[ R ]` or `[ R . x in C ]` whose body is parsed.
+    fn close_group(&mut self, bracket: bool, body: ReAst) -> Result<ReAst, LangError> {
+        if !bracket {
+            self.expect(Tok::RParen)?;
+            return Ok(ReAst::Group(Box::new(body)));
+        }
+        let re = if self.eat(&Tok::Dot) {
+            let var = self.ident()?.0;
+            self.keyword("in")?;
+            let (class, span) = self.ident()?;
+            ReAst::Bind { body: Box::new(body), var, class, span }
+        } else {
+            ReAst::Group(Box::new(body))
+        };
+        self.expect(Tok::RBracket)?;
         Ok(re)
     }
+}
 
-    fn atom(&mut self) -> Result<ReAst, LangError> {
-        match self.peek().tok.clone() {
-            Tok::Lt => Ok(ReAst::Lit(self.template()?)),
-            Tok::LParen => {
-                self.next();
-                let re = self.regex()?;
-                self.expect(Tok::RParen)?;
-                Ok(ReAst::Group(Box::new(re)))
-            }
-            Tok::LBracket => {
-                self.next();
-                let body = self.regex()?;
-                let re = if self.eat(&Tok::Dot) {
-                    let var = self.ident()?.0;
-                    self.keyword("in")?;
-                    let (class, span) = self.ident()?;
-                    ReAst::Bind { body: Box::new(body), var, class, span }
-                } else {
-                    ReAst::Group(Box::new(body))
-                };
-                self.expect(Tok::RBracket)?;
-                Ok(re)
-            }
-            Tok::Ident(s) if s == "eps" => {
-                self.next();
-                Ok(ReAst::Eps)
-            }
-            other => Err(LangError::new(
-                self.peek().span,
-                format!("expected a regular-expression atom, found {other}"),
-            )),
-        }
+/// A regular expression (or `(`/`[` group) still being parsed: the
+/// finished alternatives and the current sequence, each part paired with
+/// its height — the nesting levels inside it.
+#[derive(Default)]
+struct Pending {
+    /// Opened by `[` rather than `(`.
+    bracket: bool,
+    alts: Vec<(ReAst, usize)>,
+    seq: Vec<(ReAst, usize)>,
+}
+
+impl Pending {
+    /// `|`: the current sequence becomes an alternative (`eps` if empty).
+    fn end_alternative(&mut self) {
+        let seq = std::mem::take(&mut self.seq);
+        self.alts.push(if seq.is_empty() { (ReAst::Eps, 0) } else { join(seq, ReAst::Seq) });
     }
+
+    fn finish(mut self) -> (ReAst, usize) {
+        self.end_alternative();
+        join(self.alts, ReAst::Alt)
+    }
+}
+
+/// One part stays itself; several become `make(parts)`, as deep as the
+/// deepest part.
+fn join(mut parts: Vec<(ReAst, usize)>, make: fn(Vec<ReAst>) -> ReAst) -> (ReAst, usize) {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let height = parts.iter().map(|p| p.1).max().unwrap_or(0);
+    (make(parts.into_iter().map(|p| p.0).collect()), height)
 }
 
 #[cfg(test)]
@@ -743,5 +800,46 @@ mod tests {
     #[test]
     fn missing_semicolons_are_rejected() {
         assert!(parse("universe { class C }").is_err());
+    }
+
+    /// A one-spec document whose trace regex is `re`.
+    fn doc_with_regex(re: &str) -> String {
+        format!(
+            "universe {{ object o; object c; method M; }}
+             spec S {{ objects {{ o }} alphabet {{ <c, o, M>; }} traces prs {re}; }}"
+        )
+    }
+
+    fn nesting_error(re: &str) -> Option<LangError> {
+        parse(&doc_with_regex(re)).err().filter(|e| e.message.contains("nested more than"))
+    }
+
+    #[test]
+    fn regex_nesting_is_capped_at_256_levels_of_any_kind() {
+        let lit = "<c, o, M>";
+        let parens = |n: usize| format!("{}{lit}{}", "(".repeat(n), ")".repeat(n));
+        let brackets = |n: usize| format!("{}{lit}{}", "[".repeat(n), "]".repeat(n));
+        let stars = |n: usize| format!("{lit}{}", "*".repeat(n));
+        for shape in [&parens as &dyn Fn(usize) -> String, &brackets, &stars] {
+            assert!(parse(&doc_with_regex(&shape(MAX_REGEX_NESTING))).is_ok());
+            assert!(nesting_error(&shape(MAX_REGEX_NESTING + 1)).is_some());
+            // A million levels is the same error, not a stack overflow.
+            assert!(nesting_error(&shape(1_000_000)).is_some());
+        }
+        // The error points at the first token past the cap.
+        let doc = doc_with_regex(&parens(1_000_000));
+        let err = parse(&doc).expect_err("too deep");
+        let first = doc.find('(').expect("a parenthesis");
+        assert_eq!(err.span.offset as usize, first + MAX_REGEX_NESTING, "at the 257th `(`");
+        // Levels of different kinds add up along one path …
+        let half = MAX_REGEX_NESTING / 2;
+        let mixed = |extra: usize| {
+            format!("{}{lit}{}{}", "(".repeat(half), ")*".repeat(half), "?".repeat(extra))
+        };
+        assert!(parse(&doc_with_regex(&mixed(0))).is_ok());
+        assert!(nesting_error(&mixed(1)).is_some());
+        // … but siblings do not: a long sequence is shallow.
+        let wide = format!("({})*", parens(MAX_REGEX_NESTING - 2).repeat(50));
+        assert!(parse(&doc_with_regex(&wide)).is_ok());
     }
 }

@@ -48,15 +48,20 @@ use pospec_lang::elab::elaborate_universe;
 use pospec_lang::parser::parse;
 use pospec_lang::ElabSession;
 
-/// Lint one `.pos` document using the process-wide automaton cache.
+/// Lint one `.pos` document through a fresh automaton cache, dropped
+/// (with every automaton the passes built) when the report is returned.
 ///
 /// `file` is only used to label the report; `src` is the document text.
 pub fn lint_document(file: &str, src: &str, config: &LintConfig) -> LintReport {
-    lint_document_cached(file, src, config, DfaCache::global())
+    lint_document_cached(file, src, config, &DfaCache::new())
 }
 
-/// Like [`lint_document`], with an explicit [`DfaCache`] (the server
-/// passes its own so lint requests share automata with `check`).
+/// Like [`lint_document`], with an explicit [`DfaCache`] that receives
+/// every automaton the passes build, composition operand lifts
+/// included.  Each call elaborates a fresh universe and in-memory keys
+/// include the universe's identity, so only a caller that keeps one
+/// universe alive across calls ([`lint_document_session`]) gets hits
+/// from an earlier call.
 pub fn lint_document_cached(
     file: &str,
     src: &str,
@@ -239,10 +244,24 @@ spec S {
 
     #[test]
     fn syntax_errors_are_p001_with_a_span() {
-        let r = lint("universe { object }");
-        assert_eq!(codes(&r), vec![Code::P001]);
-        assert!(r.diagnostics[0].span.is_some());
-        assert!(r.has_errors());
+        // A million-level regex is one P001, not a stack overflow.
+        let n = 1_000_000;
+        let deep = |re: String| {
+            format!(
+                "universe {{ class Env; object o; object b; method OP; witnesses Env 1; }}\n\
+                 spec S {{ objects {{ o }} alphabet {{ <Env, o, OP>; }} traces prs {re}; }}\n"
+            )
+        };
+        for src in [
+            "universe { object }".to_string(),
+            deep(format!("{}<b, o, OP>{}", "(".repeat(n), ")".repeat(n))),
+            deep(format!("<b, o, OP>{}", "*".repeat(n))),
+        ] {
+            let r = lint(&src);
+            assert_eq!(codes(&r), vec![Code::P001]);
+            assert!(r.diagnostics[0].span.is_some());
+            assert!(r.has_errors());
+        }
     }
 
     #[test]
@@ -337,6 +356,26 @@ spec S {
              development { compose Both from L with R; }\n",
         );
         assert!(codes(&r).contains(&Code::P105), "{:?}", r.diagnostics);
+    }
+
+    #[test]
+    fn composition_automata_are_built_in_the_given_cache() {
+        // The P105 product needs both operands lifted to the joint
+        // alphabet; those lifts belong to the caller's cache, so its
+        // counters (and `clear`) cover them.
+        let src = "universe { class Env; object o; object b; method OP; witnesses Env 1; }\n\
+             spec L { objects { o } alphabet { <Env, o, OP>; <o, b, OP>; <b, o, OP>; } traces prs (<o, b, OP> <b, o, OP>)*; }\n\
+             spec R { objects { b } alphabet { <Env, b, OP>; <o, b, OP>; <b, o, OP>; } traces prs (<o, b, OP> <b, o, OP>)*; }\n\
+             development { compose Both from L with R; }\n";
+        let cache = DfaCache::new();
+        let report = lint_document_cached("test.pos", src, &LintConfig::default(), &cache);
+        assert!(!report.has_errors(), "{:?}", report.diagnostics);
+        let stats = cache.stats();
+        assert!(stats.lift_misses >= 2, "both operand lifts: {stats:?}");
+        assert!(stats.dfa_misses >= 3, "L, R and L‖R: {stats:?}");
+        let held = cache.len();
+        cache.clear();
+        assert!(held > 0 && cache.is_empty());
     }
 
     #[test]

@@ -410,6 +410,28 @@ fn unparsable_bodies_get_parse_errors_and_the_session_goes_on() {
 }
 
 #[test]
+fn over_nested_regexes_are_a_p001_diagnostic() {
+    // A million-deep group used to overflow the `.pos` parser's stack
+    // and kill the server; now it is one diagnostic like any syntax error.
+    let n = 1_000_000;
+    let deep = DOC.replace(C_OLD, &format!("{}<o, b, OP>{};", "(".repeat(n), ")".repeat(n)));
+    let script = [
+        request(1, "initialize", Value::Obj(Vec::new())),
+        did_open(URI, &deep),
+        request(2, "shutdown", Value::Null),
+        notification("exit", Value::Null),
+    ];
+    let (code, out) = run_session(&script);
+    assert_eq!(code, 0);
+    let pubs = publishes(&out);
+    let diags = diagnostics(pubs[0]);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].get("code").and_then(Value::as_str), Some("P001"));
+    let message = diags[0].get("message").and_then(Value::as_str).expect("message");
+    assert!(message.contains("nested more than 256 levels"), "{message}");
+}
+
+#[test]
 fn did_close_clears_diagnostics() {
     let bad = p020_doc();
     let close = notification(

@@ -22,8 +22,8 @@ use crate::registry::SpecRegistry;
 use pospec_alphabet::display_trace;
 use pospec_core::refine::FailedCondition;
 use pospec_core::{
-    check_refinement_batch, check_refinement_cached, compose, observable_deadlock, DfaCache,
-    PersistentStore, Specification, Verdict,
+    check_refinement_batch, check_refinement_cached, compose, DfaCache, PersistentStore,
+    Specification, Verdict, DEFAULT_PREDICATE_DEPTH,
 };
 use pospec_json::{ObjBuilder, Value};
 use std::io::{BufRead, BufReader};
@@ -563,7 +563,15 @@ fn execute(envelope: &Envelope, shared: &Arc<Shared>) -> Value {
                         .field("objects", composed.objects().len())
                         .field("alphabet_granules", composed.alphabet().granule_count());
                     if *deadlock {
-                        b = b.field("deadlocked", observable_deadlock(&composed));
+                        // The composition's content key makes a repeated
+                        // request a cache hit instead of a new product.
+                        let dfa = shared.cache.traceset_dfa(
+                            composed.universe(),
+                            composed.trace_set(),
+                            composed.alphabet(),
+                            DEFAULT_PREDICATE_DEPTH,
+                        );
+                        b = b.field("deadlocked", dfa.accepts_only_epsilon());
                     }
                     ok_response(id, "compose", b.build())
                 }
@@ -582,9 +590,15 @@ fn execute(envelope: &Envelope, shared: &Arc<Shared>) -> Value {
                 // parse_request guarantees exactly one of the two.
                 _ => return error_response(id, "bad_request", "lint needs `doc` xor `source`"),
             };
-            // Shares the server's automaton cache, so linting a
-            // registered document reuses DFAs built by `check`.
-            let report = pospec_lint::lint_document_cached(&label, &src, &config, &shared.cache);
+            // Each lint elaborates a fresh universe, so nothing it builds
+            // could be hit again from memory: it runs on its own cache,
+            // dropped with the request, which still reads and writes the
+            // server's persistent store when one is attached.
+            let cache = DfaCache::new();
+            if let Some(store) = shared.cache.store() {
+                cache.attach_store(Arc::clone(store));
+            }
+            let report = pospec_lint::lint_document_cached(&label, &src, &config, &cache);
             ok_response(id, "lint", report.to_json())
         }
         Request::Ping { delay_ms } => {

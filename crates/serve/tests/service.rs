@@ -269,6 +269,83 @@ fn lint_requests_match_the_library_report_json() {
     fixture.stop();
 }
 
+/// A counter of the shared automaton cache, from `stats`.
+fn cache_counter(client: &mut Client, key: &str) -> f64 {
+    let stats = client.call(&op("stats").build()).expect("stats");
+    stats
+        .get("result")
+        .and_then(|r| r.get("metrics"))
+        .and_then(|m| m.get("cache"))
+        .and_then(|c| c.get(key))
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("no cache counter `{key}`: {stats:?}"))
+}
+
+#[test]
+fn lint_leaves_the_shared_cache_alone_and_compose_deadlock_hits_it() {
+    let fixture = start(2, 8, true);
+    let mut client = fixture.client();
+    let dropped = |client: &mut Client| {
+        let response = client.call(&op("clear_cache").build()).expect("clear_cache");
+        result(&response, "dropped").and_then(Value::as_f64).expect("dropped count")
+    };
+    dropped(&mut client);
+
+    // Every lint elaborates a fresh universe, so its automata (the
+    // `compose BidAward` product and its operand lifts included) live
+    // on a per-request cache and never accumulate in the server's.
+    let before =
+        (cache_counter(&mut client, "dfa_misses"), cache_counter(&mut client, "lift_misses"));
+    for _ in 0..3 {
+        let response = client.call(&op("lint").field("doc", "auction").build()).expect("lint");
+        assert!(response_ok(&response), "lint failed: {response:?}");
+    }
+    let after =
+        (cache_counter(&mut client, "dfa_misses"), cache_counter(&mut client, "lift_misses"));
+    assert_eq!(before, after, "lint built automata in the shared cache");
+    assert_eq!(dropped(&mut client), 0.0, "lint left entries in the shared cache");
+
+    // The deadlock verdict of a composition goes through the shared
+    // cache under the composition's content key: a repeat is a hit.
+    let compose = op("compose")
+        .field("doc", "auction")
+        .field("left", "Bidding")
+        .field("right", "Awarding")
+        .field("deadlock", true)
+        .build();
+    let first = client.call(&compose).expect("compose");
+    assert_eq!(result(&first, "deadlocked"), Some(&Value::Bool(false)), "{first:?}");
+    let hits = cache_counter(&mut client, "dfa_hits");
+    let misses = cache_counter(&mut client, "dfa_misses");
+    let second = client.call(&compose).expect("compose again");
+    assert_eq!(result(&second, "deadlocked"), result(&first, "deadlocked"));
+    assert!(cache_counter(&mut client, "dfa_hits") > hits, "repeat compose must hit");
+    assert_eq!(cache_counter(&mut client, "dfa_misses"), misses, "repeat compose rebuilt");
+    assert!(dropped(&mut client) > 0.0, "the composition is held by the shared cache");
+    fixture.stop();
+}
+
+#[test]
+fn over_nested_regexes_are_load_spec_errors() {
+    let fixture = start(1, 4, false);
+    let mut client = fixture.client();
+    let head = "universe { class Env; object o; object b; method OP; witnesses Env 1; }\n\
+                spec S { objects { o } alphabet { <Env, o, OP>; } traces prs ";
+    let n = 100_000;
+    for re in [
+        format!("{}<b, o, OP>{}", "(".repeat(n), ")".repeat(n)),
+        format!("<b, o, OP>{}", "*".repeat(n)),
+    ] {
+        let source = format!("{head}{re}; }}\n");
+        let response = client
+            .call(&op("load_spec").field("name", "deep").field("source", source).build())
+            .expect("load_spec");
+        assert_eq!(error_kind(&response), Some("parse"), "{response:?}");
+    }
+    assert!(response_ok(&client.call(&op("ping").build()).expect("ping")));
+    fixture.stop();
+}
+
 #[test]
 fn strict_server_refuses_documents_with_lint_errors() {
     let config = ServerConfig {

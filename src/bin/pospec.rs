@@ -32,6 +32,7 @@
 
 use pospec::prelude::*;
 use pospec_core::compose as compose_specs;
+use pospec_core::{check_refinement_cached, DfaCache};
 use pospec_lang::{parse_document, Document};
 use std::process::ExitCode;
 
@@ -883,7 +884,7 @@ fn main() -> ExitCode {
                 Ok(d) => d,
                 Err(c) => return c,
             };
-            let v = check_refinement(c, a, depth);
+            let v = check_refinement_cached(&DfaCache::new(), c, a, depth);
             println!("{}", pospec_check::explain_verdict(c, a, &v));
             if v.holds() {
                 ExitCode::SUCCESS

@@ -10,12 +10,13 @@
 //! [`check_refinement`] reference.  Counterexamples are additionally
 //! validated semantically: the witness is a member of the concrete trace
 //! set whose projection onto the abstract alphabet escapes the abstract
-//! trace set.
+//! trace set.  On generated pairs the bounded falsifier of `pospec-check`
+//! is a second, automaton-free oracle for the same witnesses.
 
 use pospec::prelude::*;
 use pospec_bench::paper::Paper;
-use pospec_check::{Arena, SpecGen};
-use pospec_core::{check_refinement_cached, DfaCache, Verdict};
+use pospec_check::{bounded_refinement_counterexample, Arena, SpecGen};
+use pospec_core::{check_refinement_cached, refinement_conditions, DfaCache, Verdict};
 
 const DEPTH: usize = 6;
 
@@ -48,6 +49,29 @@ fn assert_equivalent(
         }
     }
     eager
+}
+
+/// The bounded falsifier enumerates `T(Γ′)` breadth-first in symbol
+/// order up to `depth` and decides membership directly, without automata.
+/// It must find a witness exactly when the cached verdict's shortest,
+/// least witness fits in `depth` — and then that same witness — whether
+/// it searches sequentially or on threads.
+fn assert_bounded_agrees(
+    tag: &str,
+    cache: &DfaCache,
+    concrete: &Specification,
+    abstract_: &Specification,
+    depth: usize,
+) {
+    if !refinement_conditions(concrete, abstract_).all_ok() {
+        return; // the falsifier only decides condition 3
+    }
+    let verdict = check_refinement_cached(cache, concrete, abstract_, depth);
+    let expected = verdict.counterexample().filter(|w| w.len() <= depth);
+    for par in [Parallelism::Sequential, Parallelism::Threads] {
+        let bounded = bounded_refinement_counterexample(concrete, abstract_, depth, par);
+        assert_eq!(bounded.as_ref(), expected, "{tag}: bounded falsifier ({par:?}) disagrees");
+    }
 }
 
 #[test]
@@ -113,6 +137,9 @@ fn generated_regular_pairs_are_identical_across_depths() {
             assert_equivalent(&format!("gen/holds #{i}@{depth}"), &cache, &spec, &abs, depth);
             assert_equivalent(&format!("gen/random #{i}@{depth}"), &cache, &spec, &other, depth);
         }
+        for (tag, a) in [("holds", &abs), ("random", &other), ("reflexive", &spec)] {
+            assert_bounded_agrees(&format!("gen/{tag} #{i} bounded"), &cache, &spec, a, 4);
+        }
     }
 }
 
@@ -137,6 +164,8 @@ fn generated_predicate_pairs_are_identical_and_witnesses_shortest() {
         .expect("same admissible alphabet");
         assert_equivalent(&format!("pred/concrete #{i}"), &cache, &pred, &spec, DEPTH);
         assert_equivalent(&format!("pred/abstract #{i}"), &cache, &spec, &pred, DEPTH);
+        assert_bounded_agrees(&format!("pred/concrete #{i} bounded"), &cache, &pred, &spec, DEPTH);
+        assert_bounded_agrees(&format!("pred/abstract #{i} bounded"), &cache, &spec, &pred, DEPTH);
         if let Verdict::Fails { counterexample: Some(c), .. } =
             check_refinement_cached(&cache, &spec, &pred, DEPTH)
         {
