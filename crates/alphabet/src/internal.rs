@@ -37,14 +37,9 @@ pub fn internal_of_pair(u: &Arc<Universe>, o1: ObjectId, o2: ObjectId) -> EventS
 /// `I(S)` — the pairwise union of the internal events of the objects in
 /// `S` (Def. 8): all events with *both* endpoints in `S`.
 pub fn internal_of_set(u: &Arc<Universe>, s: &BTreeSet<ObjectId>) -> EventSet {
-    let mut acc = EventSet::empty(u);
     let v: Vec<ObjectId> = s.iter().copied().collect();
-    for (i, &a) in v.iter().enumerate() {
-        for &b in &v[i + 1..] {
-            acc = acc.union(&internal_of_pair(u, a, b));
-        }
-    }
-    acc
+    let pairs = v.iter().enumerate().flat_map(|(i, &a)| v[i + 1..].iter().map(move |&b| (a, b)));
+    union_of_pairs(u, pairs)
 }
 
 /// `I(S₁,S₂)` — the events `⟨o,o′,m⟩` with one endpoint in `S₁` and the
@@ -54,13 +49,21 @@ pub fn internal_between(
     s1: &BTreeSet<ObjectId>,
     s2: &BTreeSet<ObjectId>,
 ) -> EventSet {
-    let mut acc = EventSet::empty(u);
-    for &a in s1 {
-        for &b in s2 {
-            acc = acc.union(&internal_of_pair(u, a, b));
-        }
+    union_of_pairs(u, s1.iter().flat_map(|&a| s2.iter().map(move |&b| (a, b))))
+}
+
+/// `⋃ I(a,b)` over the given pairs, built once: a fold of
+/// `EventSet::union` would copy the accumulated set once per pair,
+/// making `I(S)` quartic in `|S|`.
+fn union_of_pairs(
+    u: &Arc<Universe>,
+    pairs: impl Iterator<Item = (ObjectId, ObjectId)>,
+) -> EventSet {
+    let mut granules = Vec::new();
+    for (a, b) in pairs {
+        granules.extend(internal_of_pair(u, a, b).granules().copied());
     }
-    acc
+    EventSet::from_granules(u, granules)
 }
 
 /// The Def.-1 upper bound on a specification alphabet for the object set
@@ -170,6 +173,48 @@ mod tests {
         // Events leaving the set are not internal.
         let wit = f.u.anon_witnesses().next().unwrap();
         assert!(!i.contains(&Event::call(f.o1, wit, f.ow)));
+    }
+
+    #[test]
+    fn one_pass_internal_sets_equal_the_pairwise_union_fold() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // The reference: the Def.-8 pairwise union, one `union` per pair.
+        fn fold(u: &Arc<Universe>, pairs: &[(ObjectId, ObjectId)]) -> EventSet {
+            pairs
+                .iter()
+                .fold(EventSet::empty(u), |acc, &(a, b)| acc.union(&internal_of_pair(u, a, b)))
+        }
+        let mut b = UniverseBuilder::new();
+        let objects = b.object_class("Objects").unwrap();
+        let mut pool: Vec<ObjectId> = (0..6).map(|i| b.object(&format!("o{i}")).unwrap()).collect();
+        b.method("OW").unwrap();
+        b.class_witnesses(objects, 2).unwrap();
+        b.anon_witnesses(1).unwrap();
+        b.method_witnesses(1).unwrap();
+        let u = b.freeze();
+        pool.extend(u.class_witnesses(objects));
+        pool.extend(u.anon_witnesses());
+        let mut rng = SmallRng::seed_from_u64(0x15);
+        let subset = |rng: &mut SmallRng| -> BTreeSet<ObjectId> {
+            pool.iter().copied().filter(|_| rng.gen_bool(0.5)).collect()
+        };
+        for round in 0..64 {
+            let s1 = subset(&mut rng);
+            let s2 = subset(&mut rng);
+            let v: Vec<ObjectId> = s1.iter().copied().collect();
+            let within: Vec<_> = v
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &a)| v[i + 1..].iter().map(move |&b| (a, b)))
+                .collect();
+            let across: Vec<_> = s1.iter().flat_map(|&a| s2.iter().map(move |&b| (a, b))).collect();
+            assert!(internal_of_set(&u, &s1).set_eq(&fold(&u, &within)), "round {round}: {s1:?}");
+            assert!(
+                internal_between(&u, &s1, &s2).set_eq(&fold(&u, &across)),
+                "round {round}: {s1:?} × {s2:?}"
+            );
+        }
     }
 
     #[test]

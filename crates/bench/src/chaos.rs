@@ -500,7 +500,7 @@ fn serve_cycle(cache_dir: &Path) -> (Vec<bool>, CycleCache) {
 /// a fresh server over the same directory answering warm from disk.
 /// Write-through happens at build time, so the store survives even a
 /// `kill -9` instead of this graceful shutdown (CI exercises that path).
-pub fn run_restart(seed: u64) -> RestartSummary {
+fn run_restart(seed: u64) -> RestartSummary {
     let dir =
         std::env::temp_dir().join(format!("pospec-chaos-cache-{}-{seed:x}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,16 +8,12 @@
 //! * [`campaign`] — the FAULT fault-injection campaign: seeds × drop
 //!   rates over supervised chaos runs, with same-seed reproduction
 //!   checked per cell;
-//! * [`cachebench`] — the CACHE2 cold/warm rebuild campaign behind
-//!   `BENCH_6.json`: content-keyed cache hits for re-derived
-//!   specifications, minimization and on-the-fly inclusion counters;
 //! * [`service`] — the SERVE campaign: cold-vs-warm refinement checks
 //!   against an in-process `pospec-serve` instance over real TCP;
 //! * [`chaos`] — the CHAOS campaign: a deterministic fault-injecting
 //!   TCP proxy between a retrying client and the hardened server, plus
 //!   the kill-and-restart cycle over the persistent automaton cache.
 
-pub mod cachebench;
 pub mod campaign;
 pub mod chaos;
 pub mod paper;

@@ -199,7 +199,7 @@ pub struct ScalePoint {
 }
 
 impl ScalePoint {
-    /// JSON record for `BENCH_8.json` / `paper_report.json`.
+    /// JSON record for `paper_report.json`'s `"scale"` key.
     pub fn to_json(&self) -> pospec_json::Value {
         pospec_json::ObjBuilder::new()
             .field("objects", self.objects)
@@ -229,7 +229,7 @@ impl ScaleCampaign {
         !self.points.is_empty() && self.points.iter().all(|p| p.verdicts_agree && p.warm_hits > 0)
     }
 
-    /// JSON document for `BENCH_8.json`.
+    /// JSON document for `paper_report.json`'s `"scale"` key.
     pub fn to_json(&self) -> pospec_json::Value {
         pospec_json::ObjBuilder::new()
             .field("points", self.points.iter().map(ScalePoint::to_json).collect::<Vec<_>>())
@@ -383,17 +383,19 @@ mod tests {
 
     #[test]
     fn scale_campaign_gates_pass_at_a_small_size() {
-        let campaign = run_scale(&[6]);
-        assert_eq!(campaign.points.len(), 1);
-        let p = &campaign.points[0];
-        assert_eq!(p.objects, 6);
-        assert!(p.pairs >= 6, "a 6-ring has at least one pair per edge");
-        assert!(p.verdicts_agree, "checker must match the manifest");
-        assert!(p.warm_hits > 0, "warm pass must hit the cache");
+        let sizes = [10, 100, 1000];
+        let campaign = run_scale(&sizes);
+        assert_eq!(campaign.points.len(), sizes.len());
+        for (p, &n) in campaign.points.iter().zip(&sizes) {
+            assert_eq!(p.objects, n);
+            assert!(p.pairs >= n, "an {n}-ring has at least one pair per edge");
+            assert!(p.verdicts_agree, "N={n}: checker must match the manifest");
+            assert!(p.warm_hits > 0, "N={n}: warm pass must hit the cache");
+        }
         assert!(campaign.gates_pass());
         let json = campaign.to_json();
         assert_eq!(json.get("gates_pass").and_then(|v| v.as_bool()), Some(true));
-        assert_eq!(json.get("points").and_then(|v| v.as_arr()).map(<[_]>::len), Some(1));
+        assert_eq!(json.get("points").and_then(|v| v.as_arr()).map(<[_]>::len), Some(3));
     }
 
     #[test]

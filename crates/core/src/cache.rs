@@ -192,11 +192,6 @@ impl CacheStats {
         Duration::from_nanos(self.build_nanos)
     }
 
-    /// States removed by minimization across all builds.
-    pub fn min_states_removed(&self) -> u64 {
-        self.min_states_in.saturating_sub(self.min_states_out)
-    }
-
     /// Counter deltas since an earlier snapshot.
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {

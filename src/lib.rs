@@ -51,8 +51,6 @@ pub use pospec_regex as regex;
 pub use pospec_sim as sim;
 pub use pospec_trace as trace;
 
-pub mod benchdiff;
-
 /// Glue between the surface language and the development auditor:
 /// build a verifiable [`Development`](pospec_check::Development) from a
 /// parsed document's `development { … }` block.

@@ -6,10 +6,11 @@
 //! including the *exact* counterexample trace, so the shortest-first
 //! witness guarantee survives caching.
 
+use pospec_bench::paper::Paper;
 use pospec_check::{Arena, SpecGen};
 use pospec_core::{
-    check_refinement, check_refinement_batch, check_refinement_cached, compose, is_composable,
-    DfaCache, Specification, TraceSet, Verdict,
+    check_all_pairs, check_refinement, check_refinement_batch, check_refinement_cached, compose,
+    is_composable, refinement_conditions, DfaCache, Specification, TraceSet, Verdict,
 };
 use pospec_trace::Trace;
 
@@ -131,4 +132,42 @@ fn failing_pairs_keep_shortest_counterexamples_under_caching() {
         failures_with_witness > 0,
         "generator should produce failing pairs with counterexamples"
     );
+}
+
+/// Content keys absorb rebuilds: the paper's six interface specs,
+/// re-derived from scratch (fresh `Arc`s, equal content), checked as a
+/// 36-pair matrix through one cache, each matrix followed by a lift
+/// sweep (every abstract view lifted to every admissible concrete
+/// alphabet, the composition workload).  The second pass must give the
+/// same verdicts, hit more lifts than it builds, and build less than
+/// the first.
+#[test]
+fn rebuilt_paper_specs_hit_the_content_keyed_cache() {
+    const DEPTH: usize = 4;
+    let cache = DfaCache::new();
+    let p = Paper::new();
+    let pass = || {
+        let specs = p.interface_specs();
+        let before = cache.stats();
+        let matrix = check_all_pairs(&cache, &specs, DEPTH);
+        for c in &specs {
+            for a in &specs {
+                if refinement_conditions(c, a).alphabet_ok {
+                    cache.lifted_dfa(
+                        c.universe(),
+                        a.trace_set(),
+                        a.alphabet(),
+                        c.alphabet(),
+                        DEPTH,
+                    );
+                }
+            }
+        }
+        (matrix, cache.stats().since(&before))
+    };
+    let (cold_matrix, cold) = pass();
+    let (warm_matrix, warm) = pass();
+    assert_eq!(cold_matrix, warm_matrix, "rebuilt specs must give the same verdicts");
+    assert!(warm.lift_hits > warm.lift_misses, "rebuilt lifts must mostly hit: {warm:?}");
+    assert!(warm.misses() < cold.misses(), "warm pass must build less: {cold:?} vs {warm:?}");
 }
